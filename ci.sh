@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Local CI gate — the same checks the GitHub Actions workflow runs.
+# The one CI definition: the GitHub Actions workflow runs `./ci.sh` and
+# `./ci.sh bench-check` and nothing else.
 # Fully offline: every dependency is a path dependency under vendor/.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -23,7 +24,7 @@ if [[ "${1:-}" == "bless" ]]; then
 fi
 
 # `./ci.sh bench` refreshes the perf trajectory: it times the canonical
-# workload (skip vs --no-skip, detailed and sampled) and rewrites
+# workload (detailed, sampled and memory-bound rows) and rewrites
 # BENCH_perf.json at the repo root, printing the delta against the
 # committed snapshot. Non-gating — regressions are reviewed, not
 # rejected; commit the refreshed JSON alongside perf-relevant changes.

@@ -285,9 +285,7 @@ pub fn validate_counters_traced(
         counters: PerfectAceCounters::new(cfg),
         events: Vec::new(),
     };
-    for t in 0..duration {
-        core.tick(t, &mut gen, &mut shared, &mut both);
-    }
+    core.run(0, duration, &mut gen, &mut shared, &mut both);
     let counter_avf = avf(both.counters.abc(duration), cfg.total_bits(), duration);
     let timeline = AceTimeline::from_events(cfg, &both.events, duration, 64);
     let campaign = run_campaign_traced(&timeline, injections, seed ^ 0xfa57, sink);

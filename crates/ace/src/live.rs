@@ -178,8 +178,14 @@ pub fn run_checkpointed(
             t = ckpt.tick;
             continue;
         }
-        core.tick(t, &mut src, &mut shared, &mut obs);
-        t += 1;
+        // Run up to the next checkpoint or fault tick, so neither a
+        // capture nor a strike ever lands inside a skipped span.
+        let mut stop = (t / interval + 1).saturating_mul(interval).min(duration);
+        if let Some(&f) = faults.get(next_fault) {
+            stop = stop.min(f);
+        }
+        core.run(t, stop, &mut src, &mut shared, &mut obs);
+        t = stop;
     }
 
     RollbackRun {

@@ -1,13 +1,11 @@
 //! Perf-trajectory benchmark: a fixed canonical workload timed with the
-//! event-horizon skip engine on and off, written to `BENCH_perf.json` at
-//! the repo root so throughput is machine-readable across PRs.
+//! event-horizon skip engine, written to `BENCH_perf.json` at the repo
+//! root so throughput is machine-readable across PRs.
 //!
 //! The canonical workload is the 4B4S eight-program mix at quick scale
 //! under the reliability scheduler (fixed seed), run in both engines
 //! (fully detailed and `--sample 1500:15000:1`), plus the quick-scale
-//! scheduler-comparison grid that dominates `run_all --quick`. Results
-//! are byte-identical between modes (the horizon-equivalence suite is
-//! the referee), so the JSON records pure wall-clock trajectory.
+//! scheduler-comparison grid that dominates `run_all --quick`.
 //!
 //! `./ci.sh bench` runs this and prints the delta against the committed
 //! JSON. `--check` (wired as `./ci.sh bench-check` and a CI step) gates
@@ -18,7 +16,7 @@ use relsim::experiments::{
     compare_schedulers, hcmp_config, run_mix_traced, Context, Scale, SchedKind,
 };
 use relsim::mixes::Mix;
-use relsim::{sampling, skip, SamplingConfig, SamplingParams};
+use relsim::{sampling, SamplingConfig, SamplingParams};
 use relsim_bench::perf::{compare, RowStat};
 use relsim_obs::{info, RunObs};
 use serde::{Deserialize, Serialize};
@@ -40,7 +38,7 @@ const BENCH_RUN_TICKS: u64 = 1_000_000;
 /// One timed configuration of the canonical workload.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct PerfRow {
-    /// `<workload>-<engine>-<skip|noskip>`.
+    /// `<workload>-<engine>-skip`.
     name: String,
     /// Best wall-clock milliseconds across the repeats (excludes
     /// context build).
@@ -96,12 +94,10 @@ struct HistoryRow {
 const HISTORY_CAP: usize = 20;
 
 /// Wall time of the quick-scale scheduler-comparison grid (the bulk of
-/// `run_all --quick`), skip vs no-skip.
+/// `run_all --quick`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct QuickGridTiming {
     skip_wall_ms: f64,
-    noskip_wall_ms: f64,
-    speedup: f64,
 }
 
 /// Wall time of a full `run_all --quick` invocation with a cold result
@@ -126,12 +122,6 @@ struct PerfReport {
     /// when the sibling `run_all` binary was not built alongside this one
     /// (older committed snapshots also deserialize to `None`).
     cache: Option<CacheTiming>,
-    /// `noskip / skip` wall-time ratio, fully detailed canonical run.
-    detailed_speedup: f64,
-    /// Same ratio with the interval-sampling engine active.
-    sampled_speedup: f64,
-    /// Same ratio on the stall-heavy memory-bound companion workload.
-    membound_speedup: f64,
     /// Rolling history of previously committed snapshots, oldest first,
     /// capped at [`HISTORY_CAP`]; each refresh retires the snapshot it
     /// replaces into this list.
@@ -181,13 +171,12 @@ fn memory_bound_mix() -> Mix {
 /// Time one canonical 4B4S run and collect its skip statistics. The run
 /// is repeated and the fastest wall time kept — the run itself is
 /// deterministic, so the minimum is the least-noisy estimate of its cost.
-fn timed_run(ctx: &Context, name: &str, mix: &Mix, sampled: bool, skip_on: bool) -> PerfRow {
+fn timed_run(ctx: &Context, name: &str, mix: &Mix, sampled: bool) -> PerfRow {
     sampling::set_default(if sampled {
         Some(SamplingConfig::parse("1500:15000:1").expect("claimed config"))
     } else {
         None
     });
-    skip::set_default_enabled(skip_on);
     let cfg = hcmp_config(ctx, 4, 4);
     let mut samples_ms = Vec::with_capacity(BENCH_REPEATS);
     let mut obs = RunObs::disabled();
@@ -211,7 +200,6 @@ fn timed_run(ctx: &Context, name: &str, mix: &Mix, sampled: bool, skip_on: bool)
         n_cores = result.cores.len() as u64;
     }
     sampling::set_default(None);
-    skip::set_default_enabled(true);
     let snap = obs.recorder.snapshot();
     let skipped = snap.counter("sim.skipped_ticks").unwrap_or(0);
     let detailed = snap.counter("sim.detailed_ticks").unwrap_or(0);
@@ -235,16 +223,14 @@ fn timed_run(ctx: &Context, name: &str, mix: &Mix, sampled: bool, skip_on: bool)
 }
 
 /// Time the quick-scale `compare_schedulers` grid (fully detailed).
-fn timed_grid(ctx: &Context, skip_on: bool) -> f64 {
+fn timed_grid(ctx: &Context) -> f64 {
     sampling::set_default(None);
-    skip::set_default_enabled(skip_on);
     let cfg = hcmp_config(ctx, 2, 2);
     let mixes = ctx.four_program_mixes();
     let mut obs = RunObs::disabled();
     let t0 = Instant::now();
     let comparisons = compare_schedulers(ctx, &cfg, &mixes, SamplingParams::default(), &mut obs);
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    skip::set_default_enabled(true);
     assert!(!comparisons.is_empty(), "grid produced no results");
     wall_ms
 }
@@ -329,19 +315,16 @@ fn repo_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// Time the six canonical single-mix rows at the bench tick count.
+/// Time the three canonical single-mix rows at the bench tick count.
 fn measure_rows(ctx: &Context) -> Vec<PerfRow> {
     let canonical = ctx.eight_program_mixes().remove(0);
     let memory = memory_bound_mix();
     let mut row_ctx = ctx.clone();
     row_ctx.scale.run_ticks = BENCH_RUN_TICKS;
     vec![
-        timed_run(&row_ctx, "4B4S-detailed-skip", &canonical, false, true),
-        timed_run(&row_ctx, "4B4S-detailed-noskip", &canonical, false, false),
-        timed_run(&row_ctx, "4B4S-sampled-skip", &canonical, true, true),
-        timed_run(&row_ctx, "4B4S-sampled-noskip", &canonical, true, false),
-        timed_run(&row_ctx, "4B4S-membound-skip", &memory, false, true),
-        timed_run(&row_ctx, "4B4S-membound-noskip", &memory, false, false),
+        timed_run(&row_ctx, "4B4S-detailed-skip", &canonical, false),
+        timed_run(&row_ctx, "4B4S-sampled-skip", &canonical, true),
+        timed_run(&row_ctx, "4B4S-membound-skip", &memory, false),
     ]
 }
 
@@ -461,7 +444,7 @@ fn main() {
     if std::env::args().any(|a| a == "--help" || a == "-h") {
         println!(
             "usage: bench_perf [--jobs N] [--check [--check-inject F]]\n\
-             Times the canonical 4B4S workload (both engines, skip on/off), the\n\
+             Times the canonical 4B4S workload (detailed and sampled engines), the\n\
              quick-scale scheduler grid, and a cold-vs-warm result-cache pass of\n\
              run_all --quick, then writes BENCH_perf.json at the repo root.\n\
              --check               re-time only the canonical rows and diff them\n\
@@ -483,24 +466,18 @@ fn main() {
     // outside every timed region.
     let ctx = relsim_bench::context(Scale::quick());
 
-    info!("bench_perf: canonical 4B4S runs (detailed/sampled x skip/noskip)");
+    info!("bench_perf: canonical 4B4S runs (detailed, sampled, membound)");
     // The single-mix rows run longer than quick scale for stable timing.
     let rows = measure_rows(&ctx);
-    info!("bench_perf: quick-scale scheduler grid (skip vs noskip)");
-    let grid_skip = timed_grid(&ctx, true);
-    let grid_noskip = timed_grid(&ctx, false);
+    info!("bench_perf: quick-scale scheduler grid");
+    let grid_ms = timed_grid(&ctx);
     info!("bench_perf: run_all --quick, cold vs warm result cache");
     let cache = timed_cache_runs();
 
     let mut report = PerfReport {
         model_version: relsim_bench::MODEL_VERSION,
-        detailed_speedup: rows[1].wall_ms / rows[0].wall_ms,
-        sampled_speedup: rows[3].wall_ms / rows[2].wall_ms,
-        membound_speedup: rows[5].wall_ms / rows[4].wall_ms,
         quick_grid: QuickGridTiming {
-            skip_wall_ms: grid_skip,
-            noskip_wall_ms: grid_noskip,
-            speedup: grid_noskip / grid_skip,
+            skip_wall_ms: grid_ms,
         },
         cache,
         rows,
@@ -517,10 +494,7 @@ fn main() {
             r.skipped_fraction * 100.0
         );
     }
-    println!(
-        "quick grid: skip {:.1} ms vs noskip {:.1} ms -> {:.2}x",
-        report.quick_grid.skip_wall_ms, report.quick_grid.noskip_wall_ms, report.quick_grid.speedup
-    );
+    println!("quick grid: {:.1} ms", report.quick_grid.skip_wall_ms);
     match &report.cache {
         Some(c) => println!(
             "run_all --quick: cold {:.0} ms vs warm {:.0} ms -> {:.2}x (warm hit rate {:.0}%)",
@@ -531,10 +505,6 @@ fn main() {
         ),
         None => println!("run_all --quick: cache timing skipped (run_all binary unavailable)"),
     }
-    println!(
-        "speedup: detailed {:.2}x, sampled {:.2}x, membound {:.2}x",
-        report.detailed_speedup, report.sampled_speedup, report.membound_speedup
-    );
 
     // Perf trajectory: print the delta against the committed snapshot,
     // retire it into the rolling history, then overwrite it.

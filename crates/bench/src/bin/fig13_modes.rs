@@ -20,7 +20,6 @@ fn main() {
         println!("{}", relsim_bench::MODE_HELP);
         println!("{}", relsim_bench::JOBS_HELP);
         println!("{}", relsim_bench::SAMPLE_HELP);
-        println!("{}", relsim_bench::NO_SKIP_HELP);
         println!("{}", relsim_bench::CACHE_HELP);
         return;
     }

@@ -57,10 +57,9 @@ fn main() {
             "usage: simulate --benchmarks a,b,c,d [--big N] [--small N] \
              [--scheduler random|performance|reliability|static] \
              [--ticks N] [--quantum N] [--rob-only] [--half-freq-small] \
-             [--quick] [--result-out FILE] [--list]\n{OBS_HELP}\n{}\n{}\n{}\n{}",
+             [--quick] [--result-out FILE] [--list]\n{OBS_HELP}\n{}\n{}\n{}",
             relsim_bench::JOBS_HELP,
             relsim_bench::SAMPLE_HELP,
-            relsim_bench::NO_SKIP_HELP,
             relsim_bench::CACHE_HELP
         );
         return;

@@ -401,15 +401,7 @@ fn main() {
                 )
                 .unwrap();
             }
-            writeln!(
-                w,
-                "\nSkip-engine speedups (noskip / skip wall): detailed {:.2}x, sampled\n\
-                 {:.2}x, membound {:.2}x.\n",
-                num(&report, "detailed_speedup"),
-                num(&report, "sampled_speedup"),
-                num(&report, "membound_speedup"),
-            )
-            .unwrap();
+            writeln!(w).unwrap();
         }
         None => writeln!(w, "*(BENCH_perf.json missing — run `./ci.sh bench`)*\n").unwrap(),
     }

@@ -40,7 +40,6 @@ pub use relsim::cache::MODEL_VERSION;
 pub fn obs_init() -> ObsArgs {
     relsim::pool::set_default_jobs(jobs_from_args());
     relsim::sampling::set_default(sampling_from_args());
-    relsim::skip::set_default_enabled(!no_skip_from_args());
     relsim_cache::configure(cache_from_args());
     let args = ObsArgs::from_env();
     // Resolve `--profile`/`--trace-spans`/`--no-profile` before any pool
@@ -130,24 +129,6 @@ pub fn parse_sample<I: IntoIterator<Item = String>>(args: I) -> Option<relsim::S
     }
     None
 }
-
-/// Whether `--no-skip` was passed: disables event-horizon cycle skipping
-/// in detailed windows (DESIGN.md §11). Skipping is byte-identical to the
-/// plain tick loop, so the flag only trades speed for a reference timing
-/// baseline (`bench_perf`) or for bisecting a suspected equivalence bug.
-pub fn no_skip_from_args() -> bool {
-    parse_no_skip(std::env::args().skip(1))
-}
-
-/// Testable `--no-skip` parser.
-pub fn parse_no_skip<I: IntoIterator<Item = String>>(args: I) -> bool {
-    args.into_iter().any(|a| a == "--no-skip")
-}
-
-/// Help text fragment for the `--no-skip` flag, for `--help` output.
-pub const NO_SKIP_HELP: &str =
-    "  --no-skip             disable event-horizon cycle skipping (same results, \
-                               slower; for timing baselines and equivalence bisection)";
 
 /// Help text fragment for the `--sample` flag, for `--help` output.
 pub const SAMPLE_HELP: &str =
@@ -480,7 +461,7 @@ pub mod perf {
     /// estimate), and the spread relative to that minimum.
     #[derive(Debug, Clone, PartialEq)]
     pub struct RowStat {
-        /// Row name (`<workload>-<engine>-<skip|noskip>`).
+        /// Row name (`<workload>-<engine>-skip`).
         pub name: String,
         /// Best (minimum) wall time across the repeats, milliseconds.
         pub wall_ms: f64,
@@ -625,16 +606,6 @@ mod tests {
     }
 
     #[test]
-    fn no_skip_flag_forms() {
-        use super::parse_no_skip;
-        let parse = |args: &[&str]| parse_no_skip(args.iter().map(|s| s.to_string()));
-        assert!(parse(&["--no-skip"]));
-        assert!(parse(&["--quick", "--no-skip", "-j2"]));
-        assert!(!parse(&["--quick"]));
-        assert!(!parse(&["--no-skip=1"]), "flag takes no value");
-    }
-
-    #[test]
     fn cache_flag_forms() {
         let parse = |args: &[&str]| parse_cache(args.iter().map(|s| s.to_string()));
         assert_eq!(parse(&[]), CacheChoice::Enabled);
@@ -721,11 +692,8 @@ mod tests {
     fn perf_gate_covers_detailed_engine_rows_only() {
         use super::perf::{compare, gating, RowStat};
         assert!(gating("4B4S-detailed-skip"));
-        assert!(gating("4B4S-detailed-noskip"));
         assert!(gating("4B4S-membound-skip"));
-        assert!(gating("4B4S-membound-noskip"));
         assert!(!gating("4B4S-sampled-skip"));
-        assert!(!gating("4B4S-sampled-noskip"));
         // compare() stamps each delta with the row's gate class.
         let committed = vec![
             RowStat::from_samples("4B4S-detailed-skip", vec![100.0]),

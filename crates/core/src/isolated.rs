@@ -72,9 +72,7 @@ pub fn run_isolated_with(
     let warm = span.min(32 << 20);
     shared.warm_region(base + span - warm, warm);
 
-    for t in 0..duration {
-        core.tick(t, &mut gen, &mut shared, &mut counter);
-    }
+    core.run(0, duration, &mut gen, &mut shared, &mut counter);
 
     let abc = counter.abc(duration);
     IsolatedResult {

@@ -82,6 +82,30 @@ impl Core {
         }
     }
 
+    /// Run the core alone over ticks `[from, to)`: tick, then charge the
+    /// dead ticks up to the event horizon (clamped at `to`) with
+    /// [`Self::skip_to`]. Same state as `for t in from..to { self.tick(t,
+    /// ..) }`; the multicore `System` loop skips the same way per core.
+    /// Terminates because [`Self::next_event`] is always `> t`.
+    pub fn run(
+        &mut self,
+        from: u64,
+        to: u64,
+        src: &mut dyn InstrSource,
+        shared: &mut SharedMem,
+        obs: &mut dyn RetireObserver,
+    ) {
+        let mut t = from;
+        while t < to {
+            self.tick(t, src, shared, obs);
+            let target = self.next_event(t).min(to);
+            if target > t + 1 {
+                self.skip_to(t + 1, target);
+            }
+            t = target;
+        }
+    }
+
     /// Correct-path instructions committed so far.
     pub fn committed(&self) -> u64 {
         match self {

@@ -119,11 +119,6 @@ pub struct OooCore {
     finish_events: EventWheel,
     /// Reused drain buffer for `finish_events` (no per-tick allocation).
     finish_scratch: Vec<WheelEvent>,
-    /// Dead-tick cache: cycle boundaries strictly before this tick are
-    /// known-dead (see [`Self::next_event`]), so [`Self::tick`] takes a
-    /// fast path that only bumps the cycle counter and charges one CPI
-    /// stall. Set after a tick that did no work; 0 = unknown.
-    quiet_until: u64,
     iq_used: u32,
     lq_used: u32,
     sq_used: u32,
@@ -206,7 +201,6 @@ impl OooCore {
             ready: ReadyMask::new(),
             finish_events: EventWheel::new(),
             finish_scratch: Vec::with_capacity(64),
-            quiet_until: 0,
             iq_used: 0,
             lq_used: 0,
             sq_used: 0,
@@ -295,7 +289,6 @@ impl OooCore {
     /// incoming application starts with a cold-for-it cache, as on real
     /// hardware.
     pub fn reset_pipeline(&mut self) {
-        self.quiet_until = 0;
         self.rob_len = 0;
         self.head_seq = self.next_seq;
         self.ready.reset();
@@ -373,11 +366,9 @@ impl OooCore {
         }
     }
 
-    /// Returns whether any event (live or stale) was drained.
-    fn process_finish_events(&mut self, now: u64, prof: bool) -> bool {
+    fn process_finish_events(&mut self, now: u64, prof: bool) {
         let mut due = std::mem::take(&mut self.finish_scratch);
         self.finish_events.drain_due(now, &mut due);
-        let any = !due.is_empty();
         // Guards run at process time against current state, exactly as the
         // old heap loop's did: an earlier event's flush makes later events
         // in the same batch fail the epoch check, in the same order
@@ -418,7 +409,6 @@ impl OooCore {
         }
         due.clear();
         self.finish_scratch = due;
-        any
     }
 
     /// Squash everything younger than `seq` (wrong-path recovery).
@@ -586,8 +576,7 @@ impl OooCore {
         }
     }
 
-    /// Returns the number of instructions dispatched.
-    fn dispatch(&mut self, now: u64) -> u32 {
+    fn dispatch(&mut self, now: u64) {
         let mut n = 0;
         while n < self.cfg.width {
             let Some(f) = self.fetch_queue.front() else {
@@ -697,18 +686,11 @@ impl OooCore {
             }
             n += 1;
         }
-        n
     }
 
-    /// Returns whether fetch changed state (pushed instructions or took an
-    /// I-cache stall). The unconditional `fetch_stall_icache` clear below
-    /// does not count: every reader of that flag is guarded by
-    /// `now < fetch_stall_until` (or clamps against it), so a stale `true`
-    /// past the deadline is unobservable — which lets the dead-tick fast
-    /// path in [`Self::tick`] skip this stage entirely.
-    fn fetch(&mut self, now: u64, src: &mut dyn InstrSource) -> bool {
+    fn fetch(&mut self, now: u64, src: &mut dyn InstrSource) {
         if now < self.fetch_stall_until {
-            return false;
+            return;
         }
         self.fetch_stall_icache = false;
         let tpc = self.cfg.ticks_per_cycle;
@@ -729,7 +711,7 @@ impl OooCore {
                     });
                     self.fetch_stall_until = now + self.cfg.icache_penalty * tpc;
                     self.fetch_stall_icache = true;
-                    return true;
+                    return;
                 }
                 i
             };
@@ -746,7 +728,6 @@ impl OooCore {
                 break; // remaining fetch slots this cycle are lost
             }
         }
-        n > 0
     }
 
     fn account_cpi(&mut self, commits: u32, now: u64) {
@@ -953,31 +934,13 @@ impl OooCore {
         // One global-flag read per cycle; every stage span below branches
         // on the local bool, keeping the disabled path near-free.
         let prof = span::enabled();
-        // Dead-tick fast path: a prior workless tick proved (via
-        // `next_event`) that every boundary before `quiet_until` can only
-        // bump the cycle counter and charge one stall — exactly what
-        // `account_cpi(0, now)` does. Disabled while profiling so the
-        // span-per-stage record stays identical.
-        if now < self.quiet_until && !prof {
-            self.account_cpi(0, now);
-            return;
-        }
-        let drained = span::scoped(prof, Stage::FuExecute, || {
+        span::scoped(prof, Stage::FuExecute, || {
             self.process_finish_events(now, prof)
         });
         let commits = span::scoped(prof, Stage::Commit, || self.commit(now, shared, obs));
-        // Ready entries mean select/issue ran (`next_event` would return
-        // the next boundary anyway, so there is nothing to cache).
-        let had_ready = self.ready.any();
         span::scoped(prof, Stage::SelectIssue, || self.issue(now, shared));
-        let dispatched = span::scoped(prof, Stage::RenameDispatch, || self.dispatch(now));
-        let fetched = span::scoped(prof, Stage::Fetch, || self.fetch(now, src));
-        self.quiet_until = if !drained && commits == 0 && !had_ready && dispatched == 0 && !fetched
-        {
-            self.next_event(now)
-        } else {
-            0
-        };
+        span::scoped(prof, Stage::RenameDispatch, || self.dispatch(now));
+        span::scoped(prof, Stage::Fetch, || self.fetch(now, src));
         span::scoped(prof, Stage::CpiAccount, || self.account_cpi(commits, now));
     }
 
@@ -991,7 +954,6 @@ impl OooCore {
     /// shift unconditionally so retire-time spans stay delta-free; gating
     /// deadlines already in the past stay inert.
     fn shift_time(&mut self, start: u64, delta: u64) {
-        self.quiet_until = 0;
         for i in 0..self.rob_len as u64 {
             let s = ((self.head_seq + i) & self.rob_mask) as usize;
             self.rs_dispatch[s] += delta;

@@ -3,23 +3,31 @@
 //! loop — same `RunResult`s, same event streams, same golden figures — at
 //! every `--jobs` and `--sample` setting, across all schedulers.
 //!
-//! Two layers of evidence:
+//! The plain tick loop is the referee: no binary runs it, only these
+//! tests (through `skip::set_default_enabled(false)` and bare
+//! `for t in from..to { core.tick(t, ..) }` loops).
+//!
+//! Three layers of evidence:
 //!
 //! 1. Grid-level byte identity: the scheduler-comparison grid serialized
 //!    with skipping on equals the grid with skipping off, detailed and
-//!    sampled, at `-j1` and `-j4`.
+//!    sampled, at `-j1` and `-j4` — and profiling the run changes none of
+//!    its bytes.
 //! 2. Core-level properties (proptest): the reported horizon is always
 //!    strictly in the future, and a core driven through arbitrary legal
-//!    skips ends in exactly the architectural state of a plainly-ticked
-//!    twin.
+//!    skips, or through the single-core driver `Core::run`, ends in
+//!    exactly the architectural state of a plainly-ticked twin.
+//! 3. Isolated reference runs (`run_isolated`, which drives `Core::run`)
+//!    serialize to the same bytes as a plain-loop run.
 //!
 //! All grid tests mutate process-wide defaults (skip enable, sampling
-//! configuration, pool worker count), so they serialize on a mutex.
+//! configuration, pool worker count, profiling), so they serialize on a
+//! mutex.
 
 use relsim::experiments::{compare_schedulers, hcmp_config, Context, Scale};
 use relsim::mixes::Mix;
 use relsim::{pool, sampling, skip, SamplingConfig, SamplingParams};
-use relsim_obs::{EventSink, JsonlSink, RunObs};
+use relsim_obs::{span, EventSink, JsonlSink, RunObs};
 use std::sync::Mutex;
 
 /// The sampling configuration the repo's accuracy claim is stated for;
@@ -67,16 +75,19 @@ fn jsonl_bytes(obs: &mut RunObs) -> Vec<u8> {
 }
 
 /// Run the full `mix × scheduler` grid on a prebuilt context and return
-/// (serialized results, serialized event log).
+/// (serialized results, serialized event log). `profile` turns the stage
+/// profiler on for the run.
 fn grid_bytes(
     ctx: &Context,
     grid_mixes: &[Mix],
     skip_on: bool,
     sample: Option<&str>,
     jobs: usize,
+    profile: bool,
 ) -> (Vec<u8>, Vec<u8>) {
     pool::set_default_jobs(jobs);
     skip::set_default_enabled(skip_on);
+    span::set_profiling(profile);
     sampling::set_default(sample.map(|s| SamplingConfig::parse(s).expect("sample config")));
     let mut obs = RunObs::buffered();
     let comparisons = compare_schedulers(
@@ -86,6 +97,7 @@ fn grid_bytes(
         SamplingParams::default(),
         &mut obs,
     );
+    span::set_profiling(false);
     sampling::set_default(None);
     skip::set_default_enabled(true);
     pool::set_default_jobs(0);
@@ -96,14 +108,12 @@ fn grid_bytes(
     )
 }
 
-/// Build the small-scale reference context with the plain tick loop, so
-/// the grid run is the only thing under test.
+/// Build the small-scale reference context. Its isolated runs go
+/// through `Core::run`, which `isolated_runs_match_plain_loop` and the
+/// `skipped_core_matches_ticked_twin` property check against the plain
+/// loop, so the grid run is the only thing under test here.
 fn reference_context() -> Context {
-    skip::set_default_enabled(false);
-    sampling::set_default(None);
-    let ctx = Context::build(scale());
-    skip::set_default_enabled(true);
-    ctx
+    Context::build(scale())
 }
 
 /// The core identity: with skipping on, the fully-detailed scheduler grid
@@ -113,8 +123,8 @@ fn reference_context() -> Context {
 fn skip_grid_is_byte_identical_to_tick_loop() {
     let _lock = GLOBALS.lock().unwrap();
     let ctx = reference_context();
-    let (skip_res, skip_log) = grid_bytes(&ctx, &mixes(), true, None, 1);
-    let (plain_res, plain_log) = grid_bytes(&ctx, &mixes(), false, None, 1);
+    let (skip_res, skip_log) = grid_bytes(&ctx, &mixes(), true, None, 1, false);
+    let (plain_res, plain_log) = grid_bytes(&ctx, &mixes(), false, None, 1, false);
     assert!(!skip_res.is_empty() && !skip_log.is_empty());
     assert_eq!(skip_res, plain_res, "skip changes grid results");
     assert_eq!(skip_log, plain_log, "skip changes the event stream");
@@ -125,26 +135,49 @@ fn skip_grid_is_byte_identical_to_tick_loop() {
 fn skip_grid_is_byte_identical_across_job_counts() {
     let _lock = GLOBALS.lock().unwrap();
     let ctx = reference_context();
-    let (res1, log1) = grid_bytes(&ctx, &mixes(), true, None, 1);
-    let (res4, log4) = grid_bytes(&ctx, &mixes(), true, None, 4);
+    let (res1, log1) = grid_bytes(&ctx, &mixes(), true, None, 1, false);
+    let (res4, log4) = grid_bytes(&ctx, &mixes(), true, None, 4, false);
     assert_eq!(res1, res4, "skipped results depend on -j");
     assert_eq!(log1, log4, "skipped event log depends on -j");
 }
 
 /// Skipping composes with `--sample`: under the claimed sampling
-/// configuration, skip-vs-noskip stays byte-identical, and the sampled
-/// skipped grid is `-j`-independent too.
+/// configuration, skipping stays byte-identical to the plain loop, and
+/// the sampled skipped grid is `-j`-independent too.
 #[test]
 fn skip_composes_with_sampling() {
     let _lock = GLOBALS.lock().unwrap();
     let ctx = reference_context();
-    let (skip_res, skip_log) = grid_bytes(&ctx, &mixes(), true, Some(CLAIMED_CONFIG), 1);
-    let (plain_res, plain_log) = grid_bytes(&ctx, &mixes(), false, Some(CLAIMED_CONFIG), 1);
+    let sample = Some(CLAIMED_CONFIG);
+    let (skip_res, skip_log) = grid_bytes(&ctx, &mixes(), true, sample, 1, false);
+    let (plain_res, plain_log) = grid_bytes(&ctx, &mixes(), false, sample, 1, false);
     assert_eq!(skip_res, plain_res, "skip changes sampled grid results");
     assert_eq!(skip_log, plain_log, "skip changes sampled event stream");
-    let (res4, log4) = grid_bytes(&ctx, &mixes(), true, Some(CLAIMED_CONFIG), 4);
+    let (res4, log4) = grid_bytes(&ctx, &mixes(), true, sample, 4, false);
     assert_eq!(skip_res, res4, "sampled skipped results depend on -j");
     assert_eq!(skip_log, log4, "sampled skipped event log depends on -j");
+}
+
+/// No observer effect: the stage profiler times the same engine a normal
+/// run uses, so turning it on changes neither the grid results nor the
+/// event log, fully detailed and under the claimed sampling
+/// configuration.
+#[test]
+fn profiling_does_not_change_grid_bytes() {
+    let _lock = GLOBALS.lock().unwrap();
+    let ctx = reference_context();
+    for sample in [None, Some(CLAIMED_CONFIG)] {
+        let (plain_res, plain_log) = grid_bytes(&ctx, &mixes(), true, sample, 1, false);
+        let (prof_res, prof_log) = grid_bytes(&ctx, &mixes(), true, sample, 1, true);
+        assert_eq!(
+            prof_res, plain_res,
+            "profiling changes grid results (sample={sample:?})"
+        );
+        assert_eq!(
+            prof_log, plain_log,
+            "profiling changes the event stream (sample={sample:?})"
+        );
+    }
 }
 
 /// The acceptance gate at full quick scale: the exact grid `run_all
@@ -160,14 +193,11 @@ fn skip_composes_with_sampling() {
 )]
 fn quick_grid_is_byte_identical_with_and_without_skip() {
     let _lock = GLOBALS.lock().unwrap();
-    skip::set_default_enabled(false);
-    sampling::set_default(None);
     let ctx = Context::build(Scale::quick());
-    skip::set_default_enabled(true);
     let quick_mixes = ctx.four_program_mixes();
     for sample in [None, Some(CLAIMED_CONFIG)] {
-        let (skip_res, skip_log) = grid_bytes(&ctx, &quick_mixes, true, sample, 0);
-        let (plain_res, plain_log) = grid_bytes(&ctx, &quick_mixes, false, sample, 0);
+        let (skip_res, skip_log) = grid_bytes(&ctx, &quick_mixes, true, sample, 0, false);
+        let (plain_res, plain_log) = grid_bytes(&ctx, &quick_mixes, false, sample, 0, false);
         assert_eq!(
             skip_res, plain_res,
             "skip changes quick-grid results (sample={sample:?})"
@@ -179,12 +209,63 @@ fn quick_grid_is_byte_identical_with_and_without_skip() {
     }
 }
 
+/// `run_isolated` (the paper's per-program reference runs, driven by
+/// `Core::run`) serializes to the same bytes as the same run ticked by a
+/// plain loop, on both core kinds, for a memory-bound and a
+/// compute-bound benchmark.
+#[test]
+fn isolated_runs_match_plain_loop() {
+    use relsim::isolated::{run_isolated, IsolatedResult};
+    use relsim_ace::{avf, AceCounter, CounterKind};
+    use relsim_cpu::{Core, CoreConfig};
+    use relsim_mem::{PrivateCacheConfig, SharedMem, SharedMemConfig};
+    use relsim_trace::TraceGenerator;
+
+    const TICKS: u64 = 60_000;
+    const SEED: u64 = 11;
+    for bench in ["milc", "hmmer"] {
+        let profile = relsim_trace::spec_profile(bench).expect("catalog benchmark");
+        for cfg in [CoreConfig::big(), CoreConfig::small()] {
+            let mut core = Core::new(cfg.clone(), PrivateCacheConfig::default());
+            let mut shared = SharedMem::new(SharedMemConfig::default());
+            let mut counter = AceCounter::new(&cfg, CounterKind::Perfect);
+            let mut gen = TraceGenerator::new(profile.clone(), SEED, 0);
+            let (base, span) = gen.address_span();
+            let warm = span.min(32 << 20);
+            shared.warm_region(base + span - warm, warm);
+            for t in 0..TICKS {
+                core.tick(t, &mut gen, &mut shared, &mut counter);
+            }
+            let abc = counter.abc(TICKS);
+            let plain = IsolatedResult {
+                name: profile.name.clone(),
+                kind: cfg.kind,
+                ticks: TICKS,
+                instructions: core.committed(),
+                abc,
+                stack: counter.stack(TICKS),
+                avf: avf(abc, cfg.total_bits(), TICKS),
+                ips: core.committed() as f64 / TICKS as f64,
+                abc_rate: abc / TICKS as f64,
+                cpi: *core.cpi_stack(),
+            };
+            let driven = run_isolated(&profile, &cfg, TICKS, SEED);
+            assert_eq!(
+                serde_json::to_vec(&driven).unwrap(),
+                serde_json::to_vec(&plain).unwrap(),
+                "{bench} on {}: run_isolated differs from the plain loop",
+                cfg.kind
+            );
+        }
+    }
+}
+
 /// Core-level properties of the horizon protocol, over both core kinds,
 /// the benchmark catalog and arbitrary seeds. These drive bare cores, so
 /// they touch no process-wide defaults and need no lock.
 mod horizon_properties {
     use proptest::prelude::*;
-    use relsim_cpu::{Core, CoreConfig, NullObserver};
+    use relsim_cpu::{Core, CoreConfig, NullObserver, StateDigest};
     use relsim_mem::{PrivateCacheConfig, SharedMem, SharedMemConfig};
     use relsim_trace::TraceGenerator;
 
@@ -248,7 +329,9 @@ mod horizon_properties {
         /// its own reported horizon, chopped to arbitrary lengths) leaves
         /// it in exactly the architectural state of a plainly-ticked twin:
         /// same committed count, cycles, CPI stack, class mix and memory-
-        /// level profile — and the trace sources stay in lockstep.
+        /// level profile — and the trace sources stay in lockstep. So does
+        /// the single-core driver `Core::run`, called over two spans split
+        /// at an arbitrary tick.
         #[test]
         fn skipped_core_matches_ticked_twin(
             big in prop::bool::ANY,
@@ -259,17 +342,29 @@ mod horizon_properties {
             // short of the horizon, which must be just as sound. Zero
             // means uncapped (always jump to the reported horizon).
             max_skip_raw in 0u64..200,
+            split in 0u64..CASE_TICKS,
         ) {
             let max_skip = if max_skip_raw == 0 { u64::MAX } else { max_skip_raw };
             let cfg = core_config(big, half_freq);
             let bench = bench_name(bench_idx);
             let (mut plain, mut plain_src, mut plain_shared) = build(cfg.clone(), &bench, seed);
-            let (mut skip, mut skip_src, mut skip_shared) = build(cfg, &bench, seed);
+            let (mut skip, mut skip_src, mut skip_shared) = build(cfg.clone(), &bench, seed);
+            let (mut driven, mut driven_src, mut driven_shared) = build(cfg, &bench, seed);
             let mut obs = NullObserver;
 
             for t in 0..CASE_TICKS {
                 plain.tick(t, &mut plain_src, &mut plain_shared, &mut obs);
             }
+
+            driven.run(0, split, &mut driven_src, &mut driven_shared, &mut obs);
+            driven.run(split, CASE_TICKS, &mut driven_src, &mut driven_shared, &mut obs);
+            prop_assert_eq!(driven.cycles(), plain.cycles(), "driver cycles diverged");
+            prop_assert_eq!(driven.cpi_stack(), plain.cpi_stack(), "driver CPI stack diverged");
+            prop_assert_eq!(
+                StateDigest::of(&driven, &driven_src),
+                StateDigest::of(&plain, &plain_src),
+                "driver state diverged"
+            );
 
             let mut t = 0u64;
             while t < CASE_TICKS {
